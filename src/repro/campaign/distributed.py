@@ -24,22 +24,22 @@ failures sorted by digest, stale failure lines healed, torn tails dropped):
 run of the same spec, because record bytes depend only on (spec, scenario),
 never on which process executed them.
 
-Supervision reuses :mod:`repro.faults`: workers honour the
+Supervision is :mod:`repro.faults.workers`, shared with the
+:class:`~repro.engine.ParallelBackend`: one pipe per shard worker, and a
+parent that wakes on any message or death.  Workers honour the
 ``campaign.shard`` inject site (``kill_worker`` → SIGKILL self,
-``stall_worker`` → hang) for the chaos suite, and the parent polls worker
-liveness, prunes a dead worker's completed digests from its in-flight unit
-(re-reading that shard's store), requeues the remainder, and respawns the
-worker — bounded by ``max_restarts``, after which the shard's queue is
-drained by the surviving workers.  The zero-re-execution resume guarantee
-therefore holds across shard boundaries and mid-run SIGKILL of any worker.
+``stall_worker`` → hang) for the chaos suite.  On a death the parent prunes
+the worker's completed digests from its in-flight unit (re-reading that
+shard's store), requeues the remainder, and respawns the worker — bounded by
+``max_restarts``, after which the shard's queue is drained by the surviving
+workers.  The zero-re-execution resume guarantee therefore holds across
+shard boundaries and mid-run SIGKILL of any worker.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import re
 import shutil
 import signal
@@ -55,14 +55,13 @@ from repro.campaign.runner import CampaignRunner, CampaignSummary, ProgressCallb
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import FailureRecord, ResultStore, ScenarioRecord
 from repro.faults import CampaignAbortedError, FaultPolicy, FaultPlan, inject
+from repro.faults import workers as supervised
+from repro.faults.errors import DispatchTimeoutError
 from repro.utils.logging import get_logger
 
 logger = get_logger("campaign.distributed")
 
 PathLike = Union[str, Path]
-
-#: how often the parent polls worker liveness and the result queue
-_POLL_S = 0.2
 
 #: per-shard worker respawns before its queue is left to the other shards
 DEFAULT_MAX_RESTARTS = 2
@@ -179,7 +178,7 @@ class ModelExchange:
     """File-based digest-keyed publication of prepared (trained) models.
 
     The :class:`~repro.engine.ParallelBackend` publishes perturbed models to
-    its pool workers by parameter digest exactly once; this is the same
+    its workers by parameter digest exactly once; this is the same
     idiom at process granularity — keyed by
     :meth:`CampaignSpec.training_digest`, so a stolen work unit attaches the
     victim its home shard already trained instead of retraining it.
@@ -229,6 +228,7 @@ class ModelExchange:
 
 
 def _worker_main(
+    conn,
     shard: int,
     spec: CampaignSpec,
     store_path: str,
@@ -237,11 +237,10 @@ def _worker_main(
     fault_policy: Optional[FaultPolicy],
     spill_dir: Optional[str],
     exchange_dir: str,
-    task_queue: "multiprocessing.Queue",
-    result_queue: "multiprocessing.Queue",
     fault_plan: Optional[FaultPlan],
 ) -> None:
-    """One shard worker: pull units, run them into this shard's store.
+    """One shard worker: receive units over ``conn``, run them into this
+    shard's store, report ``ready`` / ``progress`` / ``done`` back.
 
     ``max_failures`` is parent-enforced (the blast radius is campaign-wide,
     not per-shard), so the runner here quarantines without aborting.  A
@@ -259,18 +258,18 @@ def _worker_main(
                 spec,
                 store,
                 backend=backend,
-                progress=lambda msg: result_queue.put(("progress", shard, msg)),
+                progress=lambda msg: conn.send(("progress", msg)),
                 fault_policy=fault_policy,
                 max_failures=None,
                 spill_dir=spill_dir,
                 model_exchange=exchange,
             ) as runner:
-                result_queue.put(("ready", shard))
+                conn.send(("ready",))
                 while True:
-                    message = task_queue.get()
-                    if message[0] == "stop":
+                    message = conn.recv()
+                    if message is None:
                         return
-                    _, unit_index, unit = message
+                    unit_index, unit = message
                     if inject.active():
                         fault = inject.check(
                             "campaign.shard",
@@ -285,9 +284,7 @@ def _worker_main(
                                 time.sleep(3600.0)
                     try:
                         summary = runner.run(list(unit.scenarios))
-                        result_queue.put(
-                            ("done", shard, unit_index, summary.executed, summary.failed)
-                        )
+                        conn.send(("done", unit_index, summary.failed))
                     except Exception as exc:  # noqa: BLE001 — quarantine the unit
                         failed = 0
                         for scenario in unit.scenarios:
@@ -307,8 +304,8 @@ def _worker_main(
                                 )
                             )
                             failed += 1
-                        result_queue.put(("done", shard, unit_index, 0, failed))
-    except (KeyboardInterrupt, SystemExit):
+                        conn.send(("done", unit_index, failed))
+    except (EOFError, KeyboardInterrupt, SystemExit):
         pass
 
 
@@ -319,20 +316,12 @@ def _worker_main(
 
 @dataclass
 class _WorkerState:
-    process: object
-    task_queue: object
+    worker: supervised.Worker
     inflight: Optional[int] = None
     restarts: int = 0
     ready: bool = False
     retired: bool = False
     last_activity: float = field(default_factory=time.monotonic)
-
-
-def _mp_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover — non-POSIX hosts
-        return multiprocessing.get_context("spawn")
 
 
 def run_distributed_campaign(
@@ -416,8 +405,6 @@ def run_distributed_campaign(
         f"units across {shards} shards"
     )
 
-    ctx = _mp_context()
-    result_queue = ctx.Queue()
     owns_exchange = exchange_dir is None
     exchange_root = (
         Path(tempfile.mkdtemp(prefix="repro-exchange-"))
@@ -430,26 +417,20 @@ def run_distributed_campaign(
     failed_total = 0
 
     def spawn(shard: int, restarts: int, with_plan: bool) -> None:
-        task_queue = ctx.Queue()
-        process = ctx.Process(
-            target=_worker_main,
-            args=(
-                shard,
-                spec,
-                str(shard_paths[shard]),
-                durable,
-                backend,
-                policy,
-                str(spill_dir) if spill_dir is not None else None,
-                str(exchange_root),
-                task_queue,
-                result_queue,
-                fault_plan if with_plan else None,
-            ),
-            daemon=True,
+        worker = supervised.start(
+            _worker_main,
+            shard,
+            spec,
+            str(shard_paths[shard]),
+            durable,
+            backend,
+            policy,
+            str(spill_dir) if spill_dir is not None else None,
+            str(exchange_root),
+            fault_plan if with_plan else None,
+            key=shard,
         )
-        process.start()
-        states[shard] = _WorkerState(process=process, task_queue=task_queue, restarts=restarts)
+        states[shard] = _WorkerState(worker=worker, restarts=restarts)
 
     def next_unit_index(shard: int) -> Optional[int]:
         if home[shard]:
@@ -475,7 +456,7 @@ def run_distributed_campaign(
                 f"[shard {shard}] unit {unit.model}/{unit.attack} "
                 f"({len(unit)} scenarios)"
             )
-            state.task_queue.put(("unit", index, unit))
+            state.worker.send((index, unit))
 
     def mark_done(index: int) -> None:
         nonlocal remaining_units
@@ -485,9 +466,7 @@ def run_distributed_campaign(
 
     def handle_death(shard: int) -> None:
         state = states[shard]
-        state.process.join()
-        exitcode = state.process.exitcode
-        emit(f"[shard {shard}] worker died (exit code {exitcode})")
+        emit(f"[shard {shard}] worker died (exit code {state.worker.exitcode})")
         index = state.inflight
         state.inflight = None
         state.ready = False
@@ -525,25 +504,9 @@ def run_distributed_campaign(
                 "left to the surviving shards"
             )
 
-    def stop_all(force: bool = False) -> None:
+    def stop_all(timeout: float) -> None:
+        supervised.close([s.worker for s in states.values() if not s.retired], timeout)
         for state in states.values():
-            if state.retired:
-                continue
-            if force:
-                if state.process.is_alive():
-                    state.process.terminate()
-            else:
-                try:
-                    state.task_queue.put(("stop",))
-                except (ValueError, OSError):  # pragma: no cover — queue gone
-                    pass
-        for state in states.values():
-            if state.retired:
-                continue
-            state.process.join(timeout=10.0)
-            if state.process.is_alive():  # pragma: no cover — hung worker
-                state.process.terminate()
-                state.process.join(timeout=5.0)
             state.retired = True
 
     try:
@@ -551,70 +514,60 @@ def run_distributed_campaign(
             spawn(shard, restarts=0, with_plan=fault_plan is not None)
         while remaining_units > 0:
             dispatch()
+            live = [state for state in states.values() if not state.retired]
+            if not live:
+                raise CampaignAbortedError(
+                    "every shard worker died and the restart budget is "
+                    f"exhausted; {remaining_units} work units remain"
+                )
+            # wake no later than the earliest busy worker's stall deadline
+            busy = [state.last_activity for state in live if state.inflight is not None]
+            timeout = None
+            if stall_timeout_s is not None and busy:
+                timeout = max(0.0, min(busy) + stall_timeout_s - time.monotonic())
             try:
-                message = result_queue.get(timeout=_POLL_S)
-            except queue_module.Empty:
-                message = None
-            if message is not None:
-                kind = message[0]
+                events = supervised.wait([state.worker for state in live], timeout)
+            except DispatchTimeoutError:
+                events = []
+            for event in events:
+                shard = event.worker.key
+                state = states[shard]
+                if event.died:
+                    handle_death(shard)
+                    continue
+                state.last_activity = time.monotonic()
+                kind, *payload = event.message
                 if kind == "ready":
-                    state = states.get(message[1])
-                    if state is not None:
-                        state.ready = True
-                        state.last_activity = time.monotonic()
+                    state.ready = True
                 elif kind == "progress":
-                    _, shard, text = message
-                    state = states.get(shard)
-                    if state is not None:
-                        state.last_activity = time.monotonic()
-                    emit(f"[shard {shard}] {text}")
+                    emit(f"[shard {shard}] {payload[0]}")
                 elif kind == "done":
-                    _, shard, index, executed, failed = message
-                    state = states.get(shard)
-                    if state is not None and state.inflight == index:
+                    index, failed = payload
+                    if state.inflight == index:
                         state.inflight = None
-                        state.last_activity = time.monotonic()
                     mark_done(index)
                     failed_total += int(failed)
                     if max_failures is not None and failed_total > max_failures:
-                        stop_all(force=True)
                         raise CampaignAbortedError(
                             f"{failed_total} scenarios quarantined, exceeding "
                             f"--max-failures={max_failures}"
                         )
-                continue
-            # no message this tick: poll liveness and stalls
-            now = time.monotonic()
-            live = 0
             for shard, state in list(states.items()):
-                if state.retired:
-                    continue
-                if not state.process.is_alive():
-                    handle_death(shard)
-                    if not states[shard].retired:
-                        live += 1
-                    continue
-                live += 1
                 if (
                     stall_timeout_s is not None
+                    and not state.retired
                     and state.inflight is not None
-                    and now - state.last_activity > stall_timeout_s
+                    and time.monotonic() - state.last_activity >= stall_timeout_s
                 ):
                     emit(
                         f"[shard {shard}] stalled for more than "
                         f"{stall_timeout_s:.1f}s; killing worker"
                     )
-                    state.process.kill()
-                    state.process.join(timeout=5.0)
+                    state.worker.kill()
                     handle_death(shard)
-            if live == 0 and remaining_units > 0:
-                raise CampaignAbortedError(
-                    "every shard worker died and the restart budget is "
-                    f"exhausted; {remaining_units} work units remain"
-                )
-        stop_all()
+        stop_all(timeout=10.0)
     finally:
-        stop_all(force=True)
+        stop_all(timeout=0.0)
         if owns_exchange:
             shutil.rmtree(exchange_root, ignore_errors=True)
 

@@ -1,7 +1,7 @@
 """Multi-core sharded execution backend.
 
 :class:`ParallelBackend` splits every batch the engine dispatches into
-contiguous shards and evaluates them on a persistent pool of worker
+contiguous shards and evaluates them on persistent, supervised worker
 processes.  Two transport decisions keep the per-call overhead small enough
 for the engine's chunked access pattern:
 
@@ -22,14 +22,16 @@ Loss-based queries (``input_gradients``, ``loss_parameter_gradients``) are
 recombined across shards as a weighted mean (weight = shard size), which is
 exact for every built-in loss because they all normalise by the batch size.
 
-Results come back through the ordinary pool result pipe: they are shard-sized
-and consumed immediately, so pinning them in shared memory would buy nothing.
+Shard *i* goes to worker *i* over that worker's own pipe
+(:mod:`repro.faults.workers`), and its result comes back the same way: results
+are shard-sized and consumed immediately, so pinning them in shared memory
+would buy nothing.
 
-The pool is lazy (constructing a backend costs nothing until the first
+The workers are lazy (constructing a backend costs nothing until the first
 dispatch) and persistent; call :meth:`close` — or let garbage collection /
-interpreter shutdown do it — to terminate the workers and unlink the shared
-segments.  One backend instance can serve many engines; share it to share
-the pool::
+interpreter shutdown do it — to kill and reap the workers and unlink the
+shared segments.  One backend instance can serve many engines; share it to
+share the workers::
 
     backend = ParallelBackend(workers=4)
     engine = Engine(model, backend=backend)
@@ -44,14 +46,14 @@ import pickle
 import signal
 import time
 from collections import OrderedDict
-from multiprocessing import get_context, shared_memory
+from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.engine.backend import ExecutionBackend, register_backend
 from repro.engine.cache import CacheStats
-from repro.faults import inject
+from repro.faults import inject, workers as supervised
 from repro.faults.errors import DispatchTimeoutError, WorkerCrashError, is_transient
 from repro.faults.policy import FaultPolicy
 from repro.nn.losses import Loss, get_loss
@@ -64,11 +66,6 @@ logger = get_logger("engine.parallel")
 #: how many distinct parameter digests stay published (and resident in each
 #: worker) at once; attack loops alternate between a handful of models
 DEFAULT_MAX_PUBLISHED = 4
-
-#: supervision poll interval while a dispatch is in flight; bounds how long
-#: a dead worker goes undetected without adding measurable latency to
-#: healthy dispatches (the wait returns as soon as results are ready)
-SUPERVISION_POLL_S = 0.05
 
 
 def default_worker_count() -> int:
@@ -88,32 +85,15 @@ def default_worker_count() -> int:
 _WORKER_MODELS: "OrderedDict[str, Sequential]" = OrderedDict()
 _WORKER_MODEL_SLOTS = DEFAULT_MAX_PUBLISHED
 
-#: whether an attach in this worker must be unregistered from the resource
-#: tracker again (set by the pool initializer).  CPython < 3.13 registers
-#: segments on *attach* as well as create: forked workers share the parent's
-#: tracker (set-semantics make the re-register harmless, and unregistering
-#: would strip the parent's own registration), while spawned workers own a
-#: private tracker that would unlink the parent's live segments at worker
-#: exit unless the attach registration is removed.
-_UNREGISTER_ON_ATTACH = False
-
-
-def _worker_init(unregister_on_attach: bool) -> None:
-    global _UNREGISTER_ON_ATTACH
-    _UNREGISTER_ON_ATTACH = unregister_on_attach
-
-
 def _attach_readonly(name: str) -> shared_memory.SharedMemory:
-    """Map a parent-owned segment without adopting ownership of it."""
-    shm = shared_memory.SharedMemory(name=name)
-    if _UNREGISTER_ON_ATTACH:  # pragma: no cover - spawn-only path
-        try:
-            from multiprocessing import resource_tracker
+    """Map a parent-owned segment without adopting ownership of it.
 
-            resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
-    return shm
+    CPython < 3.13 registers segments with the resource tracker on attach as
+    well as create.  Workers are forked wherever POSIX shared memory exists
+    (:data:`repro.faults.workers.START_METHOD`), so they share the parent's
+    tracker, whose set semantics make the re-registration harmless.
+    """
+    return shared_memory.SharedMemory(name=name)
 
 
 def _worker_model(digest: str, model_shm: str, model_size: int) -> Sequential:
@@ -149,8 +129,24 @@ def _worker_shard(
         shm.close()
 
 
+def _worker_main(conn) -> None:
+    """Worker loop: one shard task in, one ``("ok" | "error", value)`` out."""
+    try:
+        while True:
+            task = conn.recv()
+            if task is None:
+                return
+            try:
+                reply = ("ok", _worker_run(task))
+            except Exception as exc:  # noqa: BLE001 — re-raised in the parent
+                reply = ("error", exc)
+            conn.send(reply)
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
+
+
 def _worker_run(task: tuple) -> Any:
-    """Execute one shard task; module-level so every start method can pickle it."""
+    """Execute one shard task."""
     op, digest, model_shm, model_size, batch_shm, shape, dtype, start, stop, options = task
     model = _worker_model(digest, model_shm, model_size)
     x = _worker_shard(batch_shm, shape, dtype, start, stop)
@@ -195,85 +191,28 @@ def _worker_run(task: tuple) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _signal_pool_workers(pool, *sigs: int) -> list:
-    """Send ``sigs`` to every current pool worker; returns the processes."""
-    procs = list(getattr(pool, "_pool", []) or [])
-    for proc in procs:
-        pid = proc.pid
-        if pid is None:
-            continue
-        for sig in sigs:
-            try:
-                os.kill(pid, sig)
-            except (ProcessLookupError, PermissionError):  # pragma: no cover
-                break
-    return procs
-
-
-def _terminate_pool(pool) -> None:
-    """Terminate/join a pool whose workers may be dead, stopped, or hung.
-
-    ``Pool.terminate`` alone relies on a handshake: sentinels are fed to
-    the blocked workers so they release the task-queue reader lock, after
-    which its ``_help_stuff_finish`` can acquire it.  A worker that died
-    (or was SIGKILLed, or sits SIGSTOPped) while blocked on the queue never
-    completes that handshake and teardown deadlocks.  Workers are stateless
-    shard evaluators, so the unconditional path is both safe and immune:
-    stop the worker handler from respawning, hard-kill and reap every
-    worker, then release the queue locks the dead workers took with them —
-    with no live worker left, releasing on their behalf cannot race another
-    reader — and only then run the ordinary terminate/join.
-    """
-    try:
-        from multiprocessing.pool import TERMINATE
-
-        pool._worker_handler._state = TERMINATE
-    except Exception:  # pragma: no cover - interpreter internals moved
-        pass
-    procs = _signal_pool_workers(pool, signal.SIGCONT, signal.SIGKILL)
-    for proc in procs:
-        proc.join()
-    for lock in (
-        getattr(pool._inqueue, "_rlock", None),
-        getattr(pool._outqueue, "_wlock", None),
-    ):
-        if lock is None:  # pragma: no cover - win32 write pipes
-            continue
-        try:
-            lock.release()
-        except Exception:
-            pass  # nobody held it
-
-    pool.terminate()
-    pool.join()
+def _stop_workers(resources: dict) -> None:
+    """Kill and reap every worker; the next dispatch starts fresh ones."""
+    for worker in resources["workers"] or ():
+        worker.kill()
+    resources["workers"] = None
 
 
 def _release_resources(resources: dict) -> None:
-    """Terminate the pool and unlink all owned segments (idempotent).
-
-    Each step is individually guarded: a pool that died mid-flight must not
-    prevent the published shared-memory segments from being unlinked (that
-    is exactly how ``/dev/shm`` blocks used to leak after a failed run).
-    """
-    pool = resources.pop("pool", None)
-    if pool is not None:
-        try:
-            _terminate_pool(pool)
-        except Exception:  # pragma: no cover - teardown must not raise
-            logger.exception("worker pool teardown failed; continuing cleanup")
+    """Reap the workers and unlink all owned segments (idempotent)."""
+    _stop_workers(resources)
     for shm, _size in resources.pop("published", {}).values():
         try:
             shm.close()
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
-    resources["pool"] = None
     resources["published"] = OrderedDict()
 
 
 @register_backend
 class ParallelBackend(ExecutionBackend):
-    """Shard batches across a persistent multiprocessing worker pool.
+    """Shard batches across persistent supervised worker processes.
 
     Parameters
     ----------
@@ -281,25 +220,23 @@ class ParallelBackend(ExecutionBackend):
         Worker process count; defaults to the cores available to this
         process.  ``workers=1`` is valid (useful for testing the transport)
         but pays process overhead for no parallelism.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``"fork"`` where
-        available (cheap worker startup) and the platform default elsewhere.
     max_published:
         How many model publications (distinct parameter digests) to keep
         alive at once.
     fault_policy:
         :class:`~repro.faults.FaultPolicy` (or its dict form) governing
         worker supervision: a dispatch whose workers die — or that exceeds
-        ``dispatch_timeout_s`` — kills and respawns the pool and requeues
-        every in-flight shard, up to ``max_retries`` times.  Supervision is
-        always on; passing ``None`` uses the default policy.
+        ``dispatch_timeout_s`` — kills and respawns the workers and requeues
+        every shard, up to ``max_retries`` times.  Supervision is always on;
+        passing ``None`` uses the default policy.
 
-    Every dispatch is supervised: instead of blocking in ``pool.map`` (which
-    hangs forever when a worker holding a task is SIGKILLed), results are
-    awaited with a poll loop that also checks worker liveness against a
-    snapshot of the processes taken at dispatch time.  Shard tasks are pure
-    functions of (model digest, batch window), so requeueing after a respawn
-    is always safe.
+    Every dispatch is supervised by :func:`repro.faults.workers.wait`, which
+    wakes on a shard result or a worker's death (its process sentinel)
+    alike, so a SIGKILLed worker is noticed at once and never blocks the
+    dispatch.  A dispatch that fails for any reason kills its workers, so no
+    stale result can reach the next one.  Shard tasks are pure functions of
+    (model digest, batch window), so requeueing after a respawn is always
+    safe.
     """
 
     name = "parallel"
@@ -307,7 +244,6 @@ class ParallelBackend(ExecutionBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         max_published: int = DEFAULT_MAX_PUBLISHED,
         fault_policy: Union[FaultPolicy, Dict[str, object], None] = None,
     ) -> None:
@@ -317,17 +253,11 @@ class ParallelBackend(ExecutionBackend):
             raise ValueError("max_published must be at least 1")
         self.fault_policy = FaultPolicy.coerce(fault_policy) or FaultPolicy()
         self.workers = int(workers) if workers is not None else default_worker_count()
-        if start_method is None:
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._start_method = start_method
         self.max_published = int(max_published)
         self._stats = CacheStats()
-        # pool + publications live in a plain dict so the weakref finalizer
-        # can release them without keeping the backend itself alive
-        self._resources: dict = {"pool": None, "published": OrderedDict()}
+        # workers + publications live in a plain dict so the weakref
+        # finalizer can release them without keeping the backend itself alive
+        self._resources: dict = {"workers": None, "published": OrderedDict()}
         import weakref
 
         self._finalizer = weakref.finalize(self, _release_resources, self._resources)
@@ -343,26 +273,21 @@ class ParallelBackend(ExecutionBackend):
         return self._stats
 
     def close(self) -> None:
-        """Terminate the workers and unlink every published segment."""
+        """Kill and reap the workers and unlink every published segment."""
         _release_resources(self._resources)
 
-    # -- pool / publication plumbing ----------------------------------------
-    def _pool(self):
-        pool = self._resources["pool"]
-        if pool is None:
-            ctx = get_context(self._start_method)
-            pool = ctx.Pool(
-                processes=self.workers,
-                initializer=_worker_init,
-                initargs=(self._start_method != "fork",),
-            )
-            self._resources["pool"] = pool
+    # -- worker / publication plumbing --------------------------------------
+    def _workers(self) -> list:
+        workers = self._resources["workers"]
+        if workers is None:
+            workers = [supervised.start(_worker_main, key=i) for i in range(self.workers)]
+            self._resources["workers"] = workers
             logger.debug(
                 "started %d worker processes (start method %s)",
                 self.workers,
-                self._start_method,
+                supervised.START_METHOD,
             )
-        return pool
+        return workers
 
     def _publish(self, model: Sequential) -> Tuple[str, str, int]:
         """Ensure ``model`` is published; returns (digest, shm name, size)."""
@@ -394,64 +319,59 @@ class ParallelBackend(ExecutionBackend):
         edges = np.linspace(0, n, shards + 1).round().astype(int)
         return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
-    def _respawn(self, reason: str) -> None:
-        """Tear down the worker pool (hard-killing hung workers) for relaunch.
-
-        The next :meth:`_pool` call starts fresh workers; published model
-        segments stay alive, so respawned workers rebuild their model caches
-        lazily from shared memory with no re-publication cost.
-        """
-        pool = self._resources["pool"]
-        if pool is not None:
-            _terminate_pool(pool)
-            self._resources["pool"] = None
-        self._stats.restarts += 1
-        logger.warning("respawning worker pool: %s", reason)
-
     def _apply_injected_fault(self, fault) -> None:
         """Execute a ``kill_worker``/``stall_worker`` fault from the chaos plan.
 
-        ``fault.worker`` indexes the current worker processes; a negative
-        index targets *every* worker — the deterministic way to force the
-        crash-detection + respawn path (killing one worker often heals
-        transparently via the pool's own repopulation and work stealing).
+        ``fault.worker`` indexes the workers; a negative index targets
+        *every* worker.  A kill is applied synchronously — the target is
+        SIGKILLed and reaped before any shard is sent — so the dispatch
+        deterministically takes the crash-detection + respawn path.
         """
-        procs = list(self._pool()._pool)
-        targets = procs if fault.worker < 0 else [procs[fault.worker % len(procs)]]
-        sig = signal.SIGKILL if fault.action == "kill_worker" else signal.SIGSTOP
+        workers = self._workers()
+        targets = workers if fault.worker < 0 else [workers[fault.worker % len(workers)]]
         for target in targets:
-            logger.warning(
-                "injected fault: sending %s to worker pid %s",
-                signal.Signals(sig).name,
-                target.pid,
-            )
-            os.kill(target.pid, sig)
+            logger.warning("injected fault: %s on worker pid %s", fault.action, target.pid)
+            if fault.action == "kill_worker":
+                target.kill()
+            else:
+                os.kill(target.pid, signal.SIGSTOP)
 
-    def _await_results(self, async_result, procs, timeout_s: Optional[float]) -> list:
-        """Await a dispatch with liveness supervision.
+    def _run_shards(self, tasks: List[tuple], timeout_s: Optional[float]) -> list:
+        """Send shard *i* to worker *i* and collect every result.
 
-        Raises :class:`WorkerCrashError` the moment any worker from the
-        dispatch-time snapshot dies with results still pending (``Pool``
-        transparently replaces dead workers, but the dead worker's task is
-        lost and a bare ``map`` would block forever), and
-        :class:`DispatchTimeoutError` when ``timeout_s`` elapses — the hung
-        case, e.g. a stopped or livelocked worker.
+        Raises :class:`WorkerCrashError` when a worker is (or goes) dead
+        before delivering its shard, :class:`DispatchTimeoutError` when
+        ``timeout_s`` elapses (a stopped or livelocked worker), or the
+        exception a worker reported.  Any failure kills every worker, so no
+        shard still in flight can deliver a stale result to the next dispatch.
         """
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        while True:
-            async_result.wait(SUPERVISION_POLL_S)
-            if async_result.ready():
-                return async_result.get()
-            dead = [p for p in procs if not p.is_alive()]
+        workers = self._workers()
+        try:
+            dead = [w.pid for w in workers if not w.process.is_alive()]
             if dead:
-                raise WorkerCrashError(
-                    f"{len(dead)} worker(s) died mid-dispatch "
-                    f"(pids {[p.pid for p in dead]})"
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                raise DispatchTimeoutError(
-                    f"dispatch exceeded the {timeout_s:g}s timeout"
-                )
+                raise WorkerCrashError(f"worker(s) {dead} died between dispatches")
+            pending = dict(enumerate(workers[: len(tasks)]))
+            for index, worker in pending.items():
+                worker.send(tasks[index])
+            deadline = None if timeout_s is None else time.monotonic() + timeout_s
+            results: List[Any] = [None] * len(tasks)
+            while pending:
+                remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+                for event in supervised.wait(list(pending.values()), remaining):
+                    if event.died:
+                        raise WorkerCrashError(
+                            f"worker pid {event.worker.pid} died mid-dispatch "
+                            f"(exit code {event.worker.exitcode})"
+                        )
+                    status, value = event.message
+                    if status == "error":
+                        raise value
+                    results[event.worker.key] = value
+                    del pending[event.worker.key]
+            return results
+        except BaseException:
+            _stop_workers(self._resources)
+            raise
 
     def _dispatch(
         self,
@@ -492,7 +412,7 @@ class ParallelBackend(ExecutionBackend):
         return results, bounds
 
     def _supervised_run(self, op: str, tasks: List[tuple]) -> list:
-        """Execute ``tasks`` on the pool, respawning + requeueing on failure."""
+        """Execute ``tasks`` on the workers, respawning + requeueing on failure."""
         policy = self.fault_policy
         attempts = 0
         while True:
@@ -500,24 +420,20 @@ class ParallelBackend(ExecutionBackend):
                 fault = inject.check("parallel.dispatch", op=op)
                 if fault is not None:
                     self._apply_injected_fault(fault)
-            pool = self._pool()
-            procs = list(pool._pool)
-            async_result = pool.map_async(_worker_run, tasks)
             try:
-                return self._await_results(
-                    async_result, procs, policy.dispatch_timeout_s
-                )
+                return self._run_shards(tasks, policy.dispatch_timeout_s)
             except Exception as exc:
-                # crashes/timeouts invalidate the pool; a transient error
-                # raised *inside* a worker leaves it healthy, but respawning
-                # is cheap and gives the retry a clean slate either way
+                # the failed dispatch already reaped its workers; the next
+                # attempt starts fresh ones, which rebuild their model caches
+                # lazily from the still-published segments
                 if not is_transient(exc):
                     raise
+                self._stats.restarts += 1
                 if attempts >= policy.max_retries:
-                    self._respawn(f"giving up after {attempts + 1} attempts: {exc}")
+                    logger.warning("giving up after %d attempts: %s", attempts + 1, exc)
                     raise
                 attempts += 1
-                self._respawn(f"requeueing {len(tasks)} shard(s): {exc}")
+                logger.warning("respawning workers for %d shard(s): %s", len(tasks), exc)
                 time.sleep(policy.backoff_delay(attempts, key=f"parallel.{op}"))
 
     # -- batched primitives --------------------------------------------------
@@ -600,10 +516,7 @@ class ParallelBackend(ExecutionBackend):
         return float(value), np.asarray(flat)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ParallelBackend(workers={self.workers}, "
-            f"start_method={self._start_method!r})"
-        )
+        return f"ParallelBackend(workers={self.workers})"
 
 
 __all__ = ["DEFAULT_MAX_PUBLISHED", "ParallelBackend", "default_worker_count"]

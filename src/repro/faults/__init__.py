@@ -1,6 +1,6 @@
-"""Fault-tolerant execution layer: policies, retries, and chaos injection.
+"""Fault-tolerant execution layer: policies, retries, supervision, chaos.
 
-Three pieces, deliberately dependency-free so every subsystem can import
+Four pieces, deliberately dependency-free so every subsystem can import
 them without cycles:
 
 * :mod:`repro.faults.errors` — the transient/logic failure taxonomy.
@@ -10,6 +10,9 @@ them without cycles:
 * :mod:`repro.faults.inject` — the deterministic fault-plan API driving
   ``tests/test_faults.py``: kill worker N at dispatch K, raise IOError on
   the Jth mmap window read, add latency to a named layer's forward.
+* :mod:`repro.faults.workers` — the one worker-process supervision
+  primitive (owned processes, one pipe each, a sentinel-driven ``wait``)
+  behind both the parallel engine backend and sharded campaigns.
 """
 
 from repro.faults.errors import (

@@ -20,7 +20,7 @@ class FaultError(RuntimeError):
 
 
 class WorkerCrashError(FaultError):
-    """A pool worker died mid-dispatch (killed, OOMed, or segfaulted)."""
+    """A worker died mid-dispatch (killed, OOMed, or segfaulted)."""
 
 
 class DispatchTimeoutError(FaultError):

@@ -358,6 +358,26 @@ class TestWorkerKillChaos:
         merged = merge_stores(find_shard_stores(base))
         assert merged == compact_store(dist["serial"])
 
+    def test_stalled_worker_is_killed_requeued_and_bytes_survive(self, dist, tmp_path):
+        plan = FaultPlan()
+        plan.stall_worker(worker=1, site="campaign.shard", at=(0,))
+        base = tmp_path / "store.jsonl"
+        messages = []
+        summary = run_distributed_campaign(
+            tiny_spec(),
+            base,
+            shards=SHARDS,
+            backend="numpy",
+            fault_plan=plan,
+            stall_timeout_s=1.5,
+            progress=messages.append,
+        )
+        assert summary.executed == 4 and summary.failed == 0
+        assert any("stalled for more than" in m for m in messages)
+        assert any("respawned worker" in m for m in messages)
+        merged = merge_stores(find_shard_stores(base))
+        assert merged == compact_store(dist["serial"])
+
 
 # ---------------------------------------------------------------------------
 # model exchange

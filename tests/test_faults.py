@@ -20,7 +20,9 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -506,7 +508,7 @@ class TestParallelSupervision:
         backend = ParallelBackend(workers=2)
         engine = Engine(model, backend=backend, cache=False)
         engine.forward(batch)
-        procs = list(backend._pool()._pool)
+        procs = [w.process for w in backend._workers()]
         assert all(p.is_alive() for p in procs)
         backend.close()
         deadline = time.monotonic() + 5.0
@@ -522,11 +524,66 @@ class TestParallelSupervision:
         with ParallelBackend(workers=2) as backend:
             assert isinstance(backend, ParallelBackend)
             Engine(model, backend=backend, cache=False).forward(batch)
-            procs = list(backend._pool()._pool)
+            procs = [w.process for w in backend._workers()]
         deadline = time.monotonic() + 5.0
         while any(p.is_alive() for p in procs) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not any(p.is_alive() for p in procs)
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_fault_cycles_close_promptly_without_leaks(
+        self, model, batch, expected, monkeypatch
+    ):
+        """Regression: teardown after worker kills/stalls must never hang.
+
+        Loops the persistent-kill, stall and plain close scenarios; every
+        ``close()`` must return within 5 s and leave no extra thread and none
+        of the shared-memory segments this process created behind.
+        """
+        created = []
+
+        class RecordingSharedMemory(shared_memory.SharedMemory):
+            def __init__(self, name=None, create=False, size=0):
+                super().__init__(name=name, create=create, size=size)
+                if create:
+                    created.append(self.name)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", RecordingSharedMemory)
+
+        def close_within(backend: ParallelBackend, seconds: float) -> None:
+            closer = threading.Thread(target=backend.close, daemon=True)
+            closer.start()
+            closer.join(seconds)
+            assert not closer.is_alive(), f"close() still blocked after {seconds:g}s"
+
+        threads = threading.active_count()
+        kill_policy = FaultPolicy(backoff_base_s=0.0, max_retries=1)
+        # generous enough that a healthy retry never times out on a loaded host
+        stall_policy = FaultPolicy(backoff_base_s=0.0, dispatch_timeout_s=0.3, max_retries=3)
+        for iteration in range(20):
+            kills = FaultPlan()
+            kills.kill_worker(worker=-1, every=1)
+            backend = ParallelBackend(workers=2, fault_policy=kill_policy)
+            with inject.activate(kills), pytest.raises(WorkerCrashError):
+                Engine(model, backend=backend, cache=False).forward(batch)
+            close_within(backend, 5.0)
+
+            stall = FaultPlan()
+            stall.stall_worker(worker=-1, at=(0,))
+            backend = ParallelBackend(workers=2, fault_policy=stall_policy)
+            with inject.activate(stall):
+                out = Engine(model, backend=backend, cache=False).forward(batch)
+            assert np.array_equal(out, expected)
+            close_within(backend, 5.0)
+
+            backend = ParallelBackend(workers=2)
+            Engine(model, backend=backend, cache=False).forward(batch)
+            close_within(backend, 5.0)
+
+            assert threading.active_count() == threads, f"thread leak at iteration {iteration}"
+            assert created, "no shared-memory segment was recorded"
+            leaked = [name for name in created if Path("/dev/shm", name).exists()]
+            assert not leaked, f"orphaned shared-memory blocks at iteration {iteration}: {leaked}"
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ class TestTransport:
         Engine(model, backend=backend, cache=False).forward(images)
         assert len(backend._resources["published"]) == 1
         backend.close()
-        assert backend._resources["pool"] is None
+        assert backend._resources["workers"] is None
         assert len(backend._resources["published"]) == 0
         backend.close()  # second close is a no-op
         # a closed backend restarts lazily on next use
