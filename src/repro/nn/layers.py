@@ -5,7 +5,8 @@ dense layers use ``(N, features)``.  Each layer caches what it needs during
 ``forward`` and consumes the cache in ``backward``, which
 
 * accumulates gradients into its :class:`~repro.nn.tensor.Parameter` objects
-  (needed by training, the GDA attack and the parameter-coverage metric), and
+  (needed by training, the GDA attack and the parameter-coverage metric;
+  skipped with ``need_param_grads=False``), and
 * returns the gradient with respect to the layer input (needed to chain the
   backward pass and, at the network input, by the gradient-based test
   generation of Algorithm 2).
@@ -53,7 +54,13 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
+        """Accumulate parameter gradients and return the input gradient.
+
+        ``need_param_grads=False`` skips the parameter gradients altogether
+        (``Parameter.grad`` is left untouched) for callers that only want the
+        input gradient; the returned input gradient is bitwise the same.
+        """
         raise NotImplementedError
 
     def backward_batch(
@@ -183,15 +190,16 @@ class Dense(Layer):
         self._cache = {"x": x, "z": z, "y": y}
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         x, z, y = self._cache["x"], self._cache["z"], self._cache["y"]
         grad_z = self.activation.backward(z, y, grad_out)
         assert self.weight is not None
-        self.weight.grad += x.T @ grad_z
-        if self.bias is not None:
-            self.bias.grad += grad_z.sum(axis=0)
+        if need_param_grads:
+            self.weight.grad += x.T @ grad_z
+            if self.bias is not None:
+                self.bias.grad += grad_z.sum(axis=0)
         return grad_z @ self.weight.value.T
 
     def backward_batch(
@@ -288,41 +296,6 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-#: memoized patch-index arrays; keyed by the full geometry, so the handful of
-#: distinct layer shapes in a model each build their indices exactly once
-_INDEX_CACHE: Dict[
-    Tuple[int, int, int, int, int, int, int],
-    Tuple[np.ndarray, np.ndarray, np.ndarray, int, int],
-] = {}
-
-
-def _im2col_indices(
-    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Index arrays mapping an image to its patch matrix (memoized)."""
-    key = (c, h, w, kh, kw, stride, padding)
-    cached = _INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    out_h = _conv_output_size(h, kh, stride, padding)
-    out_w = _conv_output_size(w, kw, stride, padding)
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)  # (c*kh*kw, out_h*out_w)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    if len(_INDEX_CACHE) >= 256:  # bound the cache for long-lived processes
-        _INDEX_CACHE.clear()
-    _INDEX_CACHE[key] = (k, i, j, out_h, out_w)
-    return k, i, j, out_h, out_w
-
-
 def im2col(
     x: np.ndarray,
     kh: int,
@@ -376,24 +349,34 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col` with accumulation of overlapping patches."""
+    """Inverse of :func:`im2col` with accumulation of overlapping patches.
+
+    ``cols`` has shape ``(N, C*kh*kw, out_h*out_w)``; returns ``(N, C, H, W)``.
+    Overlapping patches are summed with one strided-slice add per kernel
+    offset, so every pixel is summed from zero in ``ki``-major, ``kj``-minor
+    order: the result is bitwise-equal to the scatter-add reference, an
+    unbuffered ``add.at`` of ``cols`` into the padded image at the im2col
+    patch indices.  Non-overlapping tilings (the pooling layout) are a plain
+    assignment instead, which keeps a ``-0.0`` gradient where the scatter-add
+    would produce ``0.0 + -0.0 == 0.0``.
+    """
     n, c, h, w = x_shape
+    out_h = _conv_output_size(h, kh, stride, padding)
+    out_w = _conv_output_size(w, kw, stride, padding)
+    g = cols.reshape(n, c, kh, kw, out_h, out_w)
     if padding == 0 and stride == kh == kw:
-        # non-overlapping tiling (the pooling layout): every input pixel is
-        # touched by at most one patch, so the scatter-add degenerates into a
-        # reshape/transpose assignment — much faster than np.add.at
-        out_h = _conv_output_size(h, kh, stride, 0)
-        out_w = _conv_output_size(w, kw, stride, 0)
+        # non-overlapping tiling: every input pixel is touched by at most one
+        # patch, so the scatter-add degenerates into a reshape/transpose
         x = np.zeros((n, c, h, w), dtype=cols.dtype)
-        g = cols.reshape(n, c, kh, kw, out_h, out_w)
         x[:, :, : out_h * kh, : out_w * kw] = g.transpose(0, 1, 4, 2, 5, 3).reshape(
             n, c, out_h * kh, out_w * kw
         )
         return x
-    h_pad, w_pad = h + 2 * padding, w + 2 * padding
-    x_pad = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    k, i, j, _, _ = _im2col_indices(c, h, w, kh, kw, stride, padding)
-    np.add.at(x_pad, (slice(None), k, i, j), cols)
+    x_pad = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for ki in range(kh):
+        rows = slice(ki, ki + stride * out_h, stride)
+        for kj in range(kw):
+            x_pad[:, :, rows, kj : kj + stride * out_w : stride] += g[:, :, ki, kj]
     if padding == 0:
         return x_pad
     return x_pad[:, :, padding:-padding, padding:-padding]
@@ -521,7 +504,17 @@ class Conv2D(Layer):
         self._cache = {"x_shape": np.array(x.shape), "cols": cols, "z": z, "y": y}
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
+        """Accumulate parameter gradients and return the input gradient.
+
+        The input gradient is an einsum over filters followed by
+        :func:`col2im`.  It is bitwise-equal to the scatter-add reference
+        (``einsum("fk,nfp->nkp", w_mat, grad_z_mat)`` then ``add.at``), which
+        is why this path keeps einsum instead of the faster but not
+        bitwise-equal ``matmul`` of :meth:`backward_batch`.
+        ``need_param_grads=False`` skips the weight-gradient einsum and the
+        bias sum.
+        """
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         cols = self._cache["cols"]
@@ -536,12 +529,20 @@ class Conv2D(Layer):
 
         assert self.weight is not None
         w_mat = self.weight.value.reshape(self.filters, -1)
-        grad_w = np.einsum("nfp,nkp->fk", grad_z_mat, cols)
-        self.weight.grad += grad_w.reshape(self.weight.value.shape)
-        if self.bias is not None:
-            self.bias.grad += grad_z_mat.sum(axis=(0, 2))
+        if need_param_grads:
+            grad_w = np.einsum("nfp,nkp->fk", grad_z_mat, cols)
+            self.weight.grad += grad_w.reshape(self.weight.value.shape)
+            if self.bias is not None:
+                self.bias.grad += grad_z_mat.sum(axis=(0, 2))
 
-        grad_cols = np.einsum("fk,nfp->nkp", w_mat, grad_z_mat)
+        if grad_z_mat.shape[2] > 1:
+            # a C-contiguous (K, F) weight runs einsum's strided kernel several
+            # times faster with the same summation order over filters
+            grad_cols = np.einsum("kf,nfp->nkp", np.ascontiguousarray(w_mat.T), grad_z_mat)
+        else:
+            # at a 1x1 output both operands would be contiguous along the
+            # filter axis, and einsum's unrolled kernel changes the rounding
+            grad_cols = np.einsum("fk,nfp->nkp", w_mat, grad_z_mat)
         return col2im(grad_cols, x_shape, kh, kw, self.stride, pad)
 
     def backward_batch(
@@ -748,7 +749,7 @@ class MaxPool2D(Layer):
         }
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         argmax = self._cache["argmax"]
@@ -803,7 +804,7 @@ class AvgPool2D(Layer):
         self._cache = {"cols_shape": np.array(cols.shape), "x_shape": np.array(x.shape)}
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         cols_shape = tuple(int(v) for v in self._cache["cols_shape"])
@@ -831,7 +832,7 @@ class Flatten(Layer):
         self._input_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         return grad_out.reshape(self._input_shape)
@@ -856,7 +857,7 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
@@ -875,7 +876,7 @@ class ActivationLayer(Layer):
         self._cache = {"x": x, "y": y}
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
         if not self._cache:
             raise RuntimeError(f"backward called before forward on {self.name!r}")
         return self.activation.backward(self._cache["x"], self._cache["y"], grad_out)

@@ -154,15 +154,17 @@ class Sequential:
             outputs.append(out)
         return outputs
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, need_param_grads: bool = True) -> np.ndarray:
         """Backpropagate an output gradient; returns the input gradient.
 
         Parameter gradients are *accumulated*; call :meth:`zero_grad` first if
-        fresh gradients are required.
+        fresh gradients are required.  ``need_param_grads=False`` skips them
+        (``Parameter.grad`` is left untouched); the input gradient is bitwise
+        the same either way.
         """
         grad = grad_out
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+            grad = layer.backward(grad, need_param_grads=need_param_grads)
         return grad
 
     def backward_batch(
@@ -272,11 +274,15 @@ class Sequential:
         """Gradient of a loss with respect to the input batch.
 
         Used by Algorithm 2 (gradient-based test generation) and the GDA
-        attack.  The parameter gradients computed along the way are discarded.
+        attack.  Parameter gradients are not computed: the returned input
+        gradient is bitwise-equal to :meth:`loss_gradients`' and every
+        ``Parameter.grad`` is zero when the call returns.
         """
-        value, input_grad = self.loss_gradients(x, targets, loss)
+        loss_fn = get_loss(loss)
         self.zero_grad()
-        return value, input_grad
+        logits = self.forward(x, training=True)
+        value, grad = loss_fn.value_and_grad(logits, targets)
+        return value, self.backward(grad, need_param_grads=False)
 
     def output_gradients(
         self, x: np.ndarray, scalarization: str = "sum"

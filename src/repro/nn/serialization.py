@@ -3,7 +3,8 @@
 The vendor/user validation scheme (Section III) releases the IP through an
 *unsecure* distribution channel, so this module provides:
 
-* save/load of model parameters to ``.npz`` files, and
+* save/load of model parameters to ``.npz`` files (every ``.npz`` read in
+  ``repro`` goes through :func:`read_npz`), and
 * a deterministic digest over the parameter values, used by the test suite
   and the validation harness to assert that a model copy was (or was not)
   modified.  Note that in the paper's threat model the *user cannot compute
@@ -16,14 +17,55 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+import zipfile
+import zlib
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Iterable, Optional, Union
 
 import numpy as np
 
 from repro.nn.model import Sequential
 
 PathLike = Union[str, Path]
+
+#: serialises ``.npz`` reads across threads: numpy parses every array header
+#: with ``ast.literal_eval``, and CPython 3.11 can fail concurrent compiles
+#: with "AST constructor recursion depth mismatch" (seen as HTTP 500s when
+#: serve worker threads loaded packages at the same time)
+_NPZ_LOCK = threading.Lock()
+
+#: what numpy and zipfile raise on a truncated, corrupted or non-``.npz`` file
+_CORRUPT_NPZ_ERRORS = (
+    OSError,
+    EOFError,
+    ValueError,
+    LookupError,
+    RuntimeError,
+    TypeError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
+
+
+def read_npz(path: PathLike, names: Optional[Iterable[str]] = None) -> Dict[str, np.ndarray]:
+    """Read arrays from an ``.npz`` archive under a process-wide lock.
+
+    Returns every array, or only those of ``names`` that the archive holds.
+    A missing file raises :class:`FileNotFoundError`; a file that is not a
+    readable archive (truncated, corrupted) raises :class:`ValueError` naming
+    the path.
+    """
+    try:
+        with _NPZ_LOCK, np.load(path) as data:
+            wanted = data.files if names is None else [n for n in names if n in data.files]
+            return {name: data[name] for name in wanted}
+    except FileNotFoundError:
+        raise
+    except _CORRUPT_NPZ_ERRORS as exc:
+        raise ValueError(
+            f"{path} is not a readable .npz archive ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def parameter_digest(model: Sequential, precision: int = 12) -> str:
@@ -62,18 +104,16 @@ def load_parameters(path: PathLike) -> Dict[str, np.ndarray]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
-    with np.load(path) as data:
-        return {k: data[k].copy() for k in data.files if k != "__meta__"}
+    return {k: v for k, v in read_npz(path).items() if k != "__meta__"}
 
 
 def load_metadata(path: PathLike) -> Dict[str, object]:
     """Load the metadata blob saved by :func:`save_model`."""
     path = Path(path)
-    with np.load(path) as data:
-        if "__meta__" not in data.files:
-            raise ValueError(f"{path} does not contain model metadata")
-        raw = bytes(data["__meta__"].tobytes())
-    return json.loads(raw.decode("utf-8"))
+    arrays = read_npz(path, names=("__meta__",))
+    if "__meta__" not in arrays:
+        raise ValueError(f"{path} does not contain model metadata")
+    return json.loads(bytes(arrays["__meta__"].tobytes()).decode("utf-8"))
 
 
 def load_model_into(model: Sequential, path: PathLike, verify_digest: bool = True) -> Sequential:
@@ -103,4 +143,5 @@ __all__ = [
     "load_parameters",
     "load_metadata",
     "load_model_into",
+    "read_npz",
 ]

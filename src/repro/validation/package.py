@@ -30,6 +30,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.coverage.bitmap import MaskMatrix, pack_bool
+from repro.nn.serialization import read_npz
 
 PathLike = Union[str, Path]
 
@@ -226,30 +227,35 @@ class ValidationPackage:
         v2 (packed ``coverage_words``), v1 without masks, and v1 with legacy
         dense-boolean ``coverage_masks`` (packed transparently on load).
         Formats newer than this build knows are refused with an explicit
-        version error rather than a missing-key crash.
+        version error rather than a missing-key crash, and a truncated or
+        corrupted file raises :class:`ValueError` naming the path.
         """
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"validation package not found: {path}")
-        with np.load(path) as data:
+        data = read_npz(path)
+        try:
             meta = json.loads(bytes(data["__meta__"].tobytes()).decode("utf-8"))
             version = int(meta.get("format", 1))
-            if version > FORMAT_VERSION:
-                raise ValueError(
-                    f"validation package {path} has format {version}, but this "
-                    f"build only reads formats up to {FORMAT_VERSION} — upgrade "
-                    "repro to a release that understands this package format"
-                )
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(
+                f"validation package {path} has no readable metadata: {exc}"
+            ) from exc
+        if version > FORMAT_VERSION:
+            raise ValueError(
+                f"validation package {path} has format {version}, but this "
+                f"build only reads formats up to {FORMAT_VERSION} — upgrade "
+                "repro to a release that understands this package format"
+            )
+        try:
             coverage_masks: Optional[MaskMatrix] = None
-            if "coverage_words" in data.files:
-                coverage_masks = MaskMatrix(
-                    int(meta["coverage_bits"]), data["coverage_words"]
-                )
-            elif "coverage_masks" in data.files:  # legacy v1 dense storage
+            if "coverage_words" in data:
+                coverage_masks = MaskMatrix(int(meta["coverage_bits"]), data["coverage_words"])
+            elif "coverage_masks" in data:  # legacy v1 dense storage
                 dense = np.asarray(data["coverage_masks"], dtype=bool)
                 coverage_masks = MaskMatrix(dense.shape[1], pack_bool(dense))
             discrimination: Optional[np.ndarray] = None
-            if "discrimination" in data.files:
+            if "discrimination" in data:
                 discrimination = np.asarray(data["discrimination"], dtype=np.float64)
             package = cls(
                 tests=data["tests"],
@@ -260,6 +266,8 @@ class ValidationPackage:
                 metadata=dict(meta.get("metadata", {})),
                 discrimination=discrimination,
             )
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"validation package {path} is malformed: {exc}") from exc
         if verify_digest:
             # v1 writers digested tests+outputs only (masks, if any, were a
             # pre-release extra the digest never covered); v2 digests span

@@ -93,3 +93,13 @@ class TestSerialization:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_parameters(tmp_path / "missing.npz")
+
+    def test_truncated_file_raises_value_error_naming_path(self, tmp_path):
+        path = save_model(small_mlp(rng=4), tmp_path / "model.npz")
+        raw = path.read_bytes()
+        for cut in (0, 10, len(raw) // 2, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            for load in (load_parameters, load_metadata):
+                with pytest.raises(ValueError, match="not a readable .npz archive") as info:
+                    load(path)
+                assert str(path) in str(info.value)

@@ -1,9 +1,15 @@
 """Tests for the vendor/user validation scheme and the detection experiments."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks import RandomPerturbation, SingleBiasAttack
+from repro.coverage.bitmap import MaskMatrix
 from repro.testgen import TrainingSetSelector
 from repro.utils.config import DetectionConfig
 from repro.validation import (
@@ -76,6 +82,89 @@ class TestValidationPackage:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ValidationPackage.load(tmp_path / "nope.npz")
+
+
+@pytest.fixture(scope="module")
+def saved_package(tmp_path_factory):
+    """A v3 package (masks and discrimination scores) saved once per module."""
+    rng = np.random.default_rng(0)
+    package = ValidationPackage(
+        tests=rng.random((4, 1, 4, 4)),
+        expected_outputs=rng.random((4, 3)),
+        coverage_masks=MaskMatrix.from_dense(rng.random((4, 20)) > 0.5),
+        discrimination=rng.random(4),
+        metadata={"generator": "synthetic"},
+    )
+    directory = tmp_path_factory.mktemp("package")
+    path = package.save(directory / "pkg.npz")
+    return package, path.read_bytes(), directory / "hostile.npz"
+
+
+class TestPackageLoadHostileInput:
+    """Truncated or corrupted package files fail with a ValueError naming the
+    file; a corruption the archive format ignores still loads the original
+    payload."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncated_file_raises_value_error(self, saved_package, data):
+        _, raw, target = saved_package
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        target.write_bytes(raw[:cut])
+        with pytest.raises(ValueError) as info:
+            ValidationPackage.load(target)
+        assert str(target) in str(info.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips_raise_value_error_or_load_unchanged(self, saved_package, data):
+        package, raw, target = saved_package
+        flips = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                min_size=1,
+                max_size=3,
+            ),
+            label="flips",
+        )
+        corrupted = bytearray(raw)
+        for offset, mask in flips:
+            corrupted[offset] ^= mask
+        target.write_bytes(bytes(corrupted))
+        try:
+            loaded = ValidationPackage.load(target)
+        except ValueError as exc:
+            assert str(target) in str(exc)
+        else:
+            assert loaded.digest() == package.digest()
+            np.testing.assert_array_equal(loaded.expected_labels, package.expected_labels)
+
+    def test_concurrent_loads_from_threads(self, saved_package, tmp_path):
+        package, raw, _ = saved_package
+        path = tmp_path / "shared.npz"
+        path.write_bytes(raw)
+        errors, digests = [], set()
+
+        def load_repeatedly():
+            try:
+                for _ in range(50):
+                    digests.add(ValidationPackage.load(path).digest())
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=load_repeatedly) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the header parse
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert digests == {package.digest()}
 
 
 class TestVendor:
