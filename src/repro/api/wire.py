@@ -53,7 +53,8 @@ def open_envelope(
         version = int(data["schema_version"])  # type: ignore[arg-type]
     except KeyError:
         raise ValueError("wire envelope is missing 'schema_version'") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        # OverflowError: JSON's ``Infinity`` parses to a float int() rejects
         raise ValueError(
             f"wire envelope 'schema_version' must be an integer, got "
             f"{data['schema_version']!r}"

@@ -14,10 +14,9 @@ work that is common to several scenarios:
   keeps non-greedy ones — e.g. ``random`` — resume-deterministic);
 * **per (model, attack)** — one sequence of perturbation trials is drawn and
   every package's stacked test prefix is replayed against each perturbed
-  copy in a single engine dispatch (the Tables II/III paired-trial
-  protocol); on the parallel backend each perturbed copy is published by
-  parameter digest exactly once and its batch is sharded across the worker
-  pool.
+  copy by the replay kernel (:func:`repro.validation.replay.replay_trials`,
+  the Tables II/III paired-trial protocol); detection counts and simulated
+  queries-to-decision are reductions over its mismatch matrix.
 
 Every random draw is seeded from the spec seed and the group's coordinates
 (SHA-256, see :func:`~repro.campaign.spec.derive_scenario_seed`), never from
@@ -49,6 +48,7 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import spawn
 from repro.validation.detection import default_attack_factories, stack_package_prefixes
 from repro.validation.package import ValidationPackage
+from repro.validation.replay import replay_trials
 from repro.validation.sequential import decide_from_mismatches, entropy_order
 from repro.validation.vendor import IPVendor
 
@@ -505,8 +505,14 @@ class CampaignRunner:
         backend: ExecutionBackend,
     ) -> List[ScenarioRecord]:
         """Paired perturbation trials shared by every scenario of one
-        (model, attack) coordinate: one stacked replay per trial serves all
-        of the group's criteria, strategies and budgets."""
+        (model, attack) coordinate.
+
+        One :func:`~repro.validation.replay.replay_trials` call yields the
+        ``(trials, tests)`` mismatch matrix over every package's stacked
+        prefix; each (package, budget) scenario reduces its column slice to
+        a detection count and, replaying each row in entropy order through
+        the SPRT decision kernel, to the queries a sequential verdict needed.
+        """
         spec = self.spec
         model_name = prepared.dataset_name
         if inject.active():
@@ -522,76 +528,35 @@ class CampaignRunner:
         # the trial sequence depends only on (spec seed, model, attack), so
         # resumed campaigns replay the exact same perturbations
         trial_seed = derive_scenario_seed(spec.seed, "trials", model_name, attack_name)
-        trial_rngs = spawn(trial_seed, spec.trials)
         self._emit(
             f"[{model_name}] {attack_name}: {spec.trials} trials × "
             f"{len(methods)} packages × {len(spec.budgets)} budgets "
             f"({len(group)} scenarios)"
         )
-
-        detections: Dict[Tuple[str, int], int] = {
-            (method, budget): 0 for method in methods for budget in spec.budgets
-        }
-        # sequential-mode simulation rides the same replay outputs: replay
-        # each budget prefix in entropy order through the SPRT decision
-        # kernel and track how many queries the verdict actually needed
-        query_orders: Dict[Tuple[str, int], np.ndarray] = {
-            (method, budget): entropy_order(expected[offsets[method] : offsets[method] + budget])
-            for method in methods
-            for budget in spec.budgets
-        }
-        queries_to_decision: Dict[Tuple[str, int], int] = {key: 0 for key in detections}
-        modified_counts: List[int] = []
-        max_abs_deltas: List[float] = []
-        # backends advertising a model-axis capacity evaluate that many
-        # perturbed copies per fused dispatch; others fall back to one
-        # engine pass per trial (bit-identical counts either way)
-        capacity = backend.model_axis_capacity
-        group_size = capacity if capacity > 0 else 1
-        stacked_engine = (
-            Engine(
-                prepared.model,
-                backend=backend,
-                cache=False,
-                fault_policy=self.fault_policy,
-            )
-            if capacity > 0
-            else None
+        mismatches, perturbations = replay_trials(
+            prepared.model,
+            factory,
+            spawn(trial_seed, spec.trials),
+            stacked_tests,
+            expected,
+            spec.output_atol,
+            backend,
+            fault_policy=self.fault_policy,
         )
-        for start in range(0, spec.trials, group_size):
-            copies = []
-            for trial_rng in trial_rngs[start : start + group_size]:
-                attack = factory(trial_rng)
-                outcome = attack.apply(prepared.model)
-                modified_counts.append(outcome.record.num_modified)
-                max_abs_deltas.append(outcome.record.max_abs_delta)
-                copies.append(outcome.model)
-            if stacked_engine is not None:
-                observed_group = stacked_engine.stacked_forward(copies, stacked_tests)
-            else:
-                # one engine dispatch per perturbed copy; the memo cache is
-                # off because each copy serves exactly one batch
-                observed_group = [
-                    Engine(
-                        copy,
-                        backend=backend,
-                        cache=False,
-                        fault_policy=self.fault_policy,
-                    ).forward(stacked_tests)
-                    for copy in copies
-                ]
-            for observed in observed_group:
-                deviations = np.abs(observed - expected).max(axis=1)
-                for method in methods:
-                    lo = offsets[method]
-                    for budget in spec.budgets:
-                        mismatches = deviations[lo : lo + budget] > spec.output_atol
-                        if np.any(mismatches):
-                            detections[(method, budget)] += 1
-                        order = query_orders[(method, budget)]
-                        _, _, used, _ = decide_from_mismatches(mismatches[order])
-                        queries_to_decision[(method, budget)] += used
 
+        detections: Dict[Tuple[str, int], int] = {}
+        queries_to_decision: Dict[Tuple[str, int], int] = {}
+        for method in methods:
+            lo = offsets[method]
+            for budget in spec.budgets:
+                prefix = mismatches[:, lo : lo + budget]
+                order = entropy_order(expected[lo : lo + budget])
+                detections[(method, budget)] = int(prefix.any(axis=1).sum())
+                queries_to_decision[(method, budget)] = sum(
+                    decide_from_mismatches(row[order])[2] for row in prefix
+                )
+        modified_counts = [record.num_modified for record in perturbations]
+        max_abs_deltas = [record.max_abs_delta for record in perturbations]
         mean_modified = float(np.mean(modified_counts)) if modified_counts else 0.0
         mean_max_delta = float(np.mean(max_abs_deltas)) if max_abs_deltas else 0.0
 

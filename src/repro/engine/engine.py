@@ -31,8 +31,9 @@ Key properties:
   are grouped up to that capacity and each group rides one fused dispatch
   per layer through :class:`~repro.nn.stacked.StackedSequential`; a zero
   capacity (numpy/parallel) falls back to a per-copy loop with bit-identical
-  results.  ``DetectionExperiment`` and the campaign runner switch onto this
-  query automatically when their backend advertises the capability.
+  results.  The replay kernel behind ``DetectionExperiment`` and the
+  campaign runner (:func:`repro.validation.replay.replay_trials`) replays
+  every perturbed copy through this query.
 
 Use :class:`Engine` whenever the same model is queried for more than a
 handful of samples; use raw ``Model.forward`` for one-off single-sample

@@ -5,10 +5,12 @@ fingerprint set, :class:`OnlineVerifier` spends queries one probe at a
 time: fingerprints are scheduled by discriminative power
 (:func:`repro.validation.sequential.query_order` — stored v3 scores, or the
 entropy fallback), each probe's observed logits are compared under the
-package's ``output_atol`` with the *same* mismatch rule as full replay, and
-the match/mismatch stream drives Wald's SPRT until a threshold is crossed,
-the query budget runs out, or the set is exhausted.  The clean threshold is
-curtailed: it cannot fire before
+package's ``output_atol`` by the replay kernel's mismatch rule
+(:func:`repro.validation.replay.output_deviations`), and the resulting
+match/mismatch stream is consumed lazily by the same SPRT walk the campaign
+runner simulates (:func:`repro.validation.sequential.sprt_walk`).  Probing
+stops once a threshold is crossed, the query budget runs out, or the set is
+exhausted.  The clean threshold is curtailed: it cannot fire before
 :func:`repro.validation.sequential.clean_floor` fingerprints have been
 observed, so an attack that mismatches only low-discrimination tests cannot
 slip past an early clean verdict.
@@ -22,23 +24,19 @@ prefix — it only stops asking earlier.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import Iterator, List, Optional
 
 from repro.validation.package import ValidationPackage
+from repro.validation.replay import output_deviations
 from repro.validation.sequential import (
     DEFAULT_CLEAN_FRACTION,
     DEFAULT_CONFIDENCE,
     DEFAULT_P0,
     DEFAULT_P1,
-    VERDICT_CLEAN,
-    VERDICT_TAMPERED,
     SequentialReport,
-    clean_floor,
-    llr_increments,
     query_order,
     sprt_thresholds,
+    sprt_walk,
 )
 from repro.validation.user import BlackBoxIP, _query
 
@@ -90,58 +88,39 @@ class OnlineVerifier:
     def verify(self) -> SequentialReport:
         package = self.package
         order, order_name = query_order(package)
-        alpha = beta = 1.0 - self.confidence
-        lower, upper = sprt_thresholds(alpha, beta)
-        match_llr, mismatch_llr = llr_increments(self.p0, self.p1)
         limit = package.num_tests
         if self.query_budget is not None:
             limit = min(limit, self.query_budget)
-        # clean-side curtailment: never accept H0 before this many observed
-        # fingerprints (see repro.validation.sequential's module docstring)
-        floor = clean_floor(package.num_tests, self.clean_fraction)
-
-        llr = 0.0
-        cusum = 0.0
         used = 0
-        decided = False
-        verdict = VERDICT_CLEAN
-        mismatched = []
+        mismatched: List[int] = []
         max_deviation = 0.0
-        position = 0
-        while position < limit and not decided:
-            take = min(self.probe_batch, limit - position)
-            indices = order[position : position + take]
-            expected = package.expected_outputs[indices]
-            observed = np.asarray(
-                _query(self.ip, package.tests[indices]), dtype=np.float64
-            )
-            used += take
-            if observed.shape != expected.shape:
-                # same rule as report_from_outputs: wrong output shape is a
-                # total mismatch, not an error
-                deviations = np.full(take, np.inf)
-            else:
-                deviations = np.abs(observed - expected).max(axis=1)
-            for j in range(take):
-                is_mismatch = bool(deviations[j] > package.output_atol)
-                max_deviation = max(max_deviation, float(deviations[j]))
-                if is_mismatch:
-                    mismatched.append(int(indices[j]))
-                step = mismatch_llr if is_mismatch else match_llr
-                llr += step
-                # tampered side is a CUSUM (SPRT reflected at zero), so
-                # accumulated clean evidence cannot mask a later mismatch —
-                # see repro.validation.sequential.decide_from_mismatches
-                cusum = max(0.0, cusum + step)
-                if cusum >= upper:
-                    decided, verdict = True, VERDICT_TAMPERED
-                    break
-                if llr <= lower and position + j + 1 >= floor:
-                    decided, verdict = True, VERDICT_CLEAN
-                    break
-            position += take
-        if not decided:
-            verdict = VERDICT_TAMPERED if mismatched else VERDICT_CLEAN
+
+        def probes() -> Iterator[bool]:
+            # the walk pulls one comparison at a time, so the next probe is
+            # only sent once every fingerprint of the last one was consumed
+            nonlocal used, max_deviation
+            for start in range(0, limit, self.probe_batch):
+                indices = order[start : min(start + self.probe_batch, limit)]
+                observed = _query(self.ip, package.tests[indices])
+                used += len(indices)
+                deviations = output_deviations(observed, package.expected_outputs[indices])
+                for index, deviation in zip(indices, deviations):
+                    max_deviation = max(max_deviation, float(deviation))
+                    is_mismatch = bool(deviation > package.output_atol)
+                    if is_mismatch:
+                        mismatched.append(int(index))
+                    yield is_mismatch
+
+        verdict, decided, _, llr = sprt_walk(
+            probes(),
+            package.num_tests,
+            confidence=self.confidence,
+            p0=self.p0,
+            p1=self.p1,
+            clean_fraction=self.clean_fraction,
+        )
+        alpha = 1.0 - self.confidence
+        lower, upper = sprt_thresholds(alpha, alpha)
 
         ledger = None
         stats = getattr(self.ip, "stats", None)

@@ -2,7 +2,7 @@
 pluggable component.
 
 Before this module, each subsystem resolved its extensible pieces with a
-private idiom: test-generation strategies had ``repro.testgen.registry``,
+private idiom: test-generation strategies had their own name table,
 backends had :func:`repro.engine.backend.register_backend`, attacks and
 coverage criteria were hardcoded in ``repro.validation.detection`` and
 ``repro.coverage.activation``, datasets and models were ``if``/``elif``

@@ -1,11 +1,11 @@
 """Detection-rate experiments (Tables II and III).
 
 For a given victim model, a set of functional-test packages (one per
-generation method / budget) and a set of attacks, the experiment repeatedly:
-
-1. perturbs a fresh copy of the victim with the attack,
-2. replays each package against the perturbed copy, and
-3. records whether the perturbation was detected (any output mismatch).
+generation method / budget) and a set of attacks, the experiment draws a
+sequence of perturbed copies of the victim per attack and replays every
+package against each copy through the replay kernel
+(:func:`repro.validation.replay.replay_trials`).  A trial detects the
+perturbation when any test of a package prefix mismatches.
 
 The detection rate of a (package, attack) cell is the fraction of perturbation
 trials that were detected — exactly the quantity reported in Tables II/III.
@@ -14,24 +14,20 @@ trials that were detected — exactly the quantity reported in Tables II/III.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.attacks.base import ParameterAttack
-from repro.data.datasets import Dataset
-from repro.engine import Engine
 from repro.engine.backend import BackendSpec, get_backend
 from repro.nn.model import Sequential
 from repro.utils.config import DetectionConfig
 from repro.utils.logging import get_logger
-from repro.utils.rng import RngLike, as_generator, spawn
+from repro.utils.rng import spawn
 from repro.validation.package import ValidationPackage
-from repro.validation.user import validate_ip
+from repro.validation.replay import AttackFactory, replay_trials
 
 logger = get_logger("validation.detection")
-
-AttackFactory = Callable[[np.random.Generator], ParameterAttack]
 
 #: every attack family the library implements, in table-column order
 ATTACK_NAMES = ("sba", "gda", "random", "bitflip")
@@ -213,10 +209,9 @@ class DetectionExperiment:
         attack from a per-trial RNG; see :func:`default_attack_factories`.
     config: trial counts, budgets, attack list, tolerance and seed.
     backend: engine backend the trial replays run on (name, instance or
-        class).  Backends advertising a positive ``model_axis_capacity``
-        (the ``model_axis`` backend) evaluate that many perturbed copies per
-        fused dispatch instead of one engine pass per trial; detection
-        counts are bit-identical either way.
+        class).  A fused model-axis backend (``model_axis``) replays a group
+        of perturbed copies per dispatch; detection counts are bit-identical
+        on every backend.
     """
 
     def __init__(
@@ -253,76 +248,39 @@ class DetectionExperiment:
         budgets within an attack (paired trials), so differences between
         methods are not washed out by attack sampling noise.
 
-        Per trial, the tests of *all* packages are replayed with a single
-        stacked batched forward pass over the perturbed copy (one engine
-        dispatch instead of one ``predict`` per method); smaller budgets are
-        derived from the same outputs via prefix slicing.  When the backend
-        advertises a model-axis capacity, that many perturbed copies share
-        one fused dispatch per group instead of one engine pass each.
+        The tests of *all* packages are stacked into one batch and replayed
+        against each perturbed copy by :func:`~repro.validation.replay
+        .replay_trials`; a cell's detection count is the number of trials
+        whose mismatch row has any hit within the method's budget prefix.
         """
         cfg = self.config
         table = DetectionTable()
         attack_rngs = spawn(cfg.seed, len(cfg.attacks))
-        max_budget = max(cfg.test_budgets)
-
-        # stack every package's test prefix once; per-method slices of the
-        # stacked batch are recovered from the offsets below
         methods, stacked_tests, expected, offsets = stack_package_prefixes(
-            self.packages, max_budget
+            self.packages, max(cfg.test_budgets)
         )
-
-        capacity = self.backend.model_axis_capacity
-        group_size = capacity if capacity > 0 else 1
-        # perturbed copies are each used for exactly one batch, so engine
-        # memo caches are disabled throughout
-        stacked_engine = (
-            Engine(self.model, backend=self.backend, cache=False)
-            if capacity > 0
-            else None
-        )
-
         for attack_name, attack_rng in zip(cfg.attacks, attack_rngs):
-            factory = self.attack_factories[attack_name]
-            trial_rngs = spawn(attack_rng, cfg.trials)
-            logger.info(
-                "running %d %s perturbation trials", cfg.trials, attack_name
+            logger.info("running %d %s perturbation trials", cfg.trials, attack_name)
+            mismatches, _ = replay_trials(
+                self.model,
+                self.attack_factories[attack_name],
+                spawn(attack_rng, cfg.trials),
+                stacked_tests,
+                expected,
+                cfg.output_atol,
+                self.backend,
             )
-
-            # detections[method][budget] -> count
-            detections: Dict[str, Dict[int, int]] = {
-                method: {n: 0 for n in cfg.test_budgets} for method in self.packages
-            }
-            for start in range(0, cfg.trials, group_size):
-                group = trial_rngs[start : start + group_size]
-                copies = [factory(rng).apply(self.model).model for rng in group]
-                if stacked_engine is not None:
-                    observed_group = stacked_engine.stacked_forward(
-                        copies, stacked_tests
-                    )
-                else:
-                    observed_group = [
-                        Engine(
-                            copy, backend=self.backend, cache=False
-                        ).forward(stacked_tests)
-                        for copy in copies
-                    ]
-                for observed in observed_group:
-                    deviations = np.abs(observed - expected).max(axis=1)
-                    for method in methods:
-                        lo = offsets[method]
-                        for n in cfg.test_budgets:
-                            if np.any(deviations[lo : lo + n] > cfg.output_atol):
-                                detections[method][n] += 1
-
-            for method in self.packages:
+            for method in methods:
+                lo = offsets[method]
                 for n in cfg.test_budgets:
+                    detected = mismatches[:, lo : lo + n].any(axis=1)
                     table.add(
                         DetectionCell(
                             method=method,
                             attack=attack_name,
                             num_tests=n,
                             trials=cfg.trials,
-                            detections=detections[method][n],
+                            detections=int(detected.sum()),
                         )
                     )
         return table

@@ -49,9 +49,10 @@ deterministic for a given package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,42 +147,39 @@ def clean_floor(num_tests: int, clean_fraction: float = DEFAULT_CLEAN_FRACTION) 
     return max(1, math.ceil(clean_fraction * num_tests))
 
 
-def decide_from_mismatches(
-    mismatches: Sequence[bool],
+def sprt_walk(
+    mismatches: Iterable[bool],
+    num_tests: int,
     confidence: float = DEFAULT_CONFIDENCE,
     p0: float = DEFAULT_P0,
     p1: float = DEFAULT_P1,
-    budget: Optional[int] = None,
     clean_fraction: float = DEFAULT_CLEAN_FRACTION,
 ) -> Tuple[str, bool, int, float]:
-    """Run the curtailed SPRT walk over an ordered mismatch stream.
+    """Run the curtailed SPRT walk over a lazy, ordered mismatch stream.
 
-    Returns ``(verdict, decided, queries_used, llr)``.  ``decided`` is True
-    when a Wald threshold was crossed (the clean threshold additionally
-    requires :func:`clean_floor` observations); if the stream (or
-    ``budget``) runs out first the verdict falls back to the evidence seen
-    so far — any mismatch means tampered (the full-replay rule), none means
-    clean — with ``decided=False``.
-
-    This is the pure decision kernel: the online verifier feeds it observed
-    comparisons, and the campaign runner feeds it precomputed mismatch
-    bitvectors to simulate queries-to-decision without re-querying.
+    Returns ``(verdict, decided, observed, llr)``.  The stream is consumed
+    one item at a time and never past the item that crosses a threshold,
+    so a generator that queries an IP stops querying there.  ``num_tests``
+    is the size of the whole fingerprint set, which sets the clean-side
+    :func:`clean_floor`.  ``decided`` is True when a Wald threshold was
+    crossed; if the stream runs out first the verdict falls back to the
+    evidence seen — any mismatch means tampered (the full-replay rule),
+    none means clean — with ``decided=False``.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     alpha = beta = 1.0 - confidence
     lower, upper = sprt_thresholds(alpha, beta)
     match_llr, mismatch_llr = llr_increments(p0, p1)
-    limit = len(mismatches) if budget is None else min(budget, len(mismatches))
-    floor = clean_floor(len(mismatches), clean_fraction)
+    floor = clean_floor(num_tests, clean_fraction)
     llr = 0.0
     cusum = 0.0
     any_mismatch = False
     used = 0
-    for i in range(limit):
-        used = i + 1
-        step = mismatch_llr if mismatches[i] else match_llr
-        any_mismatch = any_mismatch or bool(mismatches[i])
+    for mismatch in mismatches:
+        used += 1
+        step = mismatch_llr if mismatch else match_llr
+        any_mismatch = any_mismatch or bool(mismatch)
         llr += step
         # tampered side runs as a CUSUM (SPRT reflected at zero): accumulated
         # clean evidence must never mask a later tampering signal, mirroring
@@ -194,6 +192,32 @@ def decide_from_mismatches(
             return VERDICT_CLEAN, True, used, llr
     verdict = VERDICT_TAMPERED if any_mismatch else VERDICT_CLEAN
     return verdict, False, used, llr
+
+
+def decide_from_mismatches(
+    mismatches: Sequence[bool],
+    confidence: float = DEFAULT_CONFIDENCE,
+    p0: float = DEFAULT_P0,
+    p1: float = DEFAULT_P1,
+    budget: Optional[int] = None,
+    clean_fraction: float = DEFAULT_CLEAN_FRACTION,
+) -> Tuple[str, bool, int, float]:
+    """:func:`sprt_walk` over a precomputed mismatch sequence.
+
+    Returns ``(verdict, decided, queries_used, llr)``, observing at most
+    ``budget`` items.  The campaign runner feeds it rows of the replay
+    kernel's mismatch matrix to simulate queries-to-decision without
+    re-querying; the online verifier runs the same walk on live probes.
+    """
+    limit = len(mismatches) if budget is None else max(0, min(budget, len(mismatches)))
+    return sprt_walk(
+        itertools.islice(mismatches, limit),
+        len(mismatches),
+        confidence=confidence,
+        p0=p0,
+        p1=p1,
+        clean_fraction=clean_fraction,
+    )
 
 
 @dataclass
@@ -295,4 +319,5 @@ __all__ = [
     "llr_increments",
     "query_order",
     "sprt_thresholds",
+    "sprt_walk",
 ]

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.nn.model import Sequential
 from repro.validation.package import ValidationPackage
+from repro.validation.replay import output_deviations
 
 #: anything the user can query like a black box: a model object or a callable
 #: mapping an input batch to output logits.
@@ -72,27 +73,20 @@ def report_from_outputs(
 ) -> ValidationReport:
     """Compare observed logits against a package's reference outputs.
 
-    The single comparison rule of the scheme, shared by the in-process
-    :meth:`IPUser.validate` and the serving layer's coalesced replay
-    (:mod:`repro.serve`), so a request answered from a merged batched
-    dispatch can never score differently from a direct call on the same
-    logits.  A test mismatches when any of its output logits deviates from
-    the reference by more than the package's ``output_atol``.
+    Shared by the in-process :meth:`IPUser.validate` and the serving
+    layer's coalesced replay (:mod:`repro.serve`), so a request answered
+    from a merged batched dispatch can never score differently from a
+    direct call on the same logits.  A test mismatches when its
+    :func:`~repro.validation.replay.output_deviations` entry exceeds the
+    package's ``output_atol``; a wrong output shape mismatches every test.
     """
-    if observed.shape != package.expected_outputs.shape:
-        # output shape change is itself unambiguous tampering
-        return ValidationReport(
-            passed=False,
-            num_tests=package.num_tests,
-            mismatched_indices=list(range(package.num_tests)),
-            max_output_deviation=float("inf"),
-            label_mismatches=package.num_tests,
-        )
-    deviations = np.abs(observed - package.expected_outputs)
-    per_test_max = deviations.max(axis=1)
+    per_test_max = output_deviations(observed, package.expected_outputs)
     mismatched = np.where(per_test_max > package.output_atol)[0]
-    observed_labels = np.argmax(observed, axis=1)
-    label_mismatches = int(np.sum(observed_labels != package.expected_labels))
+    if observed.shape != package.expected_outputs.shape:
+        label_mismatches = package.num_tests
+    else:
+        observed_labels = np.argmax(observed, axis=1)
+        label_mismatches = int(np.sum(observed_labels != package.expected_labels))
     return ValidationReport(
         passed=mismatched.size == 0,
         num_tests=package.num_tests,

@@ -20,6 +20,7 @@ from repro.testgen.base import GenerationResult, TestGenerator
 from repro.testgen.combined import CombinedGenerator
 from repro.utils.rng import as_generator
 from repro.validation.package import DEFAULT_OUTPUT_ATOL, ValidationPackage
+from repro.validation.replay import output_deviations
 
 
 class IPVendor:
@@ -109,8 +110,7 @@ class IPVendor:
                 rng = np.random.default_rng(base.integers(0, 2**63 - 1))
                 perturbed = factory(rng).apply(self.model).model
                 observed = perturbed.predict(test_array)
-                deviations = np.abs(observed - expected).max(axis=1)
-                detections += deviations > output_atol
+                detections += output_deviations(observed, expected) > output_atol
                 copies += 1
         return detections / copies
 

@@ -1,5 +1,5 @@
-"""Tests of the repro.api façade: Session, RunConfig, typed requests, and
-the deprecation shims left behind by the registry migration."""
+"""Tests of the repro.api façade: Session, RunConfig, typed requests, the
+versioned wire envelope, and the one-shot helpers' deprecated keyword form."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     ReleasePackage,
@@ -406,7 +408,7 @@ class TestOneShotHelpers:
 
 
 class TestDeprecatedShims:
-    """Every pre-existing public entry point still works, warning exactly once."""
+    """The one-shot helpers' ad-hoc keyword form still works, warning exactly once."""
 
     def _single_deprecation(self, fn, *args, **kwargs):
         with warnings.catch_warnings(record=True) as caught:
@@ -420,61 +422,6 @@ class TestDeprecatedShims:
         )
         assert "deprecated" in str(deprecations[0].message)
         return result
-
-    def test_available_strategies_shim(self):
-        from repro.testgen.registry import available_strategies
-
-        names = self._single_deprecation(available_strategies)
-        assert "combined" in names
-
-    def test_get_strategy_shim(self):
-        from repro.registry import registry
-        from repro.testgen.registry import get_strategy
-
-        factory = self._single_deprecation(get_strategy, "random")
-        assert factory is registry.get("strategies", "random")
-
-    def test_strategy_knobs_shim(self):
-        from repro.testgen.registry import strategy_knobs
-
-        knobs = self._single_deprecation(strategy_knobs, "combined")
-        assert knobs == {
-            "candidate_pool": "candidate_pool",
-            "max_updates": "gradient_updates",
-        }
-
-    def test_register_strategy_shim(self):
-        from repro.registry import registry
-        from repro.testgen.registry import register_strategy
-
-        self._single_deprecation(
-            register_strategy, "test-shim", lambda *a, **k: None, knobs={"x": "y"}
-        )
-        try:
-            assert registry.knobs("strategies", "test-shim") == {"x": "y"}
-        finally:
-            registry.unregister("strategies", "test-shim")
-
-    def test_build_generator_shim(self, trained_cnn, digit_dataset):
-        from repro.testgen.registry import build_generator
-
-        generator = self._single_deprecation(
-            build_generator, "random", trained_cnn, digit_dataset, rng=0
-        )
-        assert generator.generate(2).num_tests == 2
-
-    def test_shim_imports_resolve_without_warning(self):
-        # importing the deprecated module (and the names re-exported through
-        # repro.testgen) must stay silent; only *calls* warn
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import importlib
-
-            import repro.testgen.registry as shim
-
-            importlib.reload(shim)
-            from repro.testgen import available_strategies  # noqa: F401
-        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
 
     def test_one_shot_validate_adhoc_kwargs_shim(self, released):
         from repro.api import validate
@@ -518,6 +465,26 @@ class TestDeprecatedShims:
 # ---------------------------------------------------------------------------
 
 
+
+def _json_containers(children):
+    return st.lists(children, max_size=3) | st.dictionaries(
+        st.text(max_size=8), children, max_size=3
+    )
+
+
+#: any value ``json.loads`` can produce, including its non-finite floats
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    _json_containers,
+    max_leaves=8,
+)
+#: dicts carrying any subset of the envelope keys, each with any JSON value
+ENVELOPE_SHAPED = st.fixed_dictionaries(
+    {},
+    optional={"schema_version": JSON_VALUES, "kind": JSON_VALUES, "body": JSON_VALUES},
+)
+
+
 class TestWireEnvelope:
     def test_request_round_trips_through_wire(self):
         from repro.api import WIRE_SCHEMA_VERSION
@@ -554,6 +521,21 @@ class TestWireEnvelope:
             open_envelope({"schema_version": 1, "body": {}})
         with pytest.raises(ValueError, match="'body' must be a dict"):
             open_envelope({"schema_version": 1, "kind": "x", "body": 3})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=JSON_VALUES | ENVELOPE_SHAPED)
+    @example(data={"schema_version": float("inf"), "kind": "validate", "body": {}})
+    @example(data={"schema_version": float("nan"), "kind": "validate", "body": {}})
+    def test_open_envelope_returns_triple_or_value_error(self, data):
+        from repro.api import WIRE_SCHEMA_VERSION, open_envelope
+
+        try:
+            version, kind, body = open_envelope(data)
+        except ValueError:
+            return
+        assert isinstance(version, int) and 1 <= version <= WIRE_SCHEMA_VERSION
+        assert isinstance(kind, str) and kind
+        assert isinstance(body, dict)
 
     def test_coerce_detects_wire_envelopes(self):
         request = ValidateRequest(package="p.npz", arch="mnist")

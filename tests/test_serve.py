@@ -682,6 +682,26 @@ class TestHttpServer:
         assert "unsupported wire schema_version" in results["future_version"][1]["error"]
         assert results["wrong_kind"][0] == 400
 
+    def test_infinite_schema_version_maps_to_400(self):
+        # json.loads accepts the non-standard ``Infinity`` literal, and
+        # int(inf) raises OverflowError — it must still surface as a 400
+        async def main():
+            service = _service(port=0)
+            server = HttpServer(service)
+            host, port = await server.start()
+            try:
+                client = HttpClient(host, port)
+                return await client.post(
+                    "/v1/validate",
+                    {"schema_version": float("inf"), "kind": "validate", "body": {}},
+                )
+            finally:
+                await server.stop()
+
+        status, body = asyncio.run(main())
+        assert status == 400
+        assert "must be an integer" in body["error"]
+
     def test_malformed_content_length_maps_to_400(self):
         async def main():
             service = _service(port=0)
